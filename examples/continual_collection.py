@@ -24,8 +24,6 @@ from __future__ import annotations
 
 import sys
 
-import numpy as np
-
 from repro import (
     ContinualEngine,
     DriftingShapeStream,
@@ -36,12 +34,11 @@ from repro.core.config import PrivShapeConfig
 from repro.server import (
     CollectionGateway,
     GatewayClient,
-    batch_id_for,
-    run_window_loadgen,
+    run_loadgen,
     serve_in_thread,
 )
 from repro.service import default_templates
-from repro.service.client import ClientReporter
+from repro.service.client import round_batches
 from repro.service.plan import CollectionPlan, RoundSpec
 
 SEED = 11
@@ -63,27 +60,13 @@ def build_population(n_users: int) -> DriftingShapeStream:
     )
 
 
-def round_batches(reporter, population, current, batch_size=512):
+def window_round_batches(population, current, batch_size=512):
     """The (batch, batch_id) pairs one round needs, over the window's view."""
     ticket = current["window"]
     view = WindowView(population, ticket["start"], ticket["stop"])
     plan = CollectionPlan.from_dict(current["plan"])
     spec = RoundSpec.from_dict(current["round"])
-    batches = []
-    for user_ids, batch_population in view.iter_range(0, view.n_users, batch_size):
-        mask = plan.participant_mask(spec, user_ids)
-        if not mask.any():
-            continue
-        participants = np.flatnonzero(mask)
-        batches.append(
-            (
-                reporter.make_reports(
-                    spec, batch_population.take(participants), user_ids[participants]
-                ),
-                batch_id_for(spec.index, user_ids[0], user_ids[-1] + 1),
-            )
-        )
-    return batches
+    return list(round_batches(view, plan, spec, 0, view.n_users, batch_size))
 
 
 def main(n_users: int = 9_000) -> None:
@@ -112,7 +95,6 @@ def main(n_users: int = 9_000) -> None:
     handle = serve_in_thread(gateway)
     print(f"windowed gateway on {handle.host}:{handle.port}")
 
-    reporter = ClientReporter()
     client = GatewayClient(handle.host, handle.port)
     while True:  # drive window 0, then stop partway through window 1
         current = client.round()
@@ -122,11 +104,11 @@ def main(n_users: int = 9_000) -> None:
             closed = client.request({"op": "window"})["closed"]
             print(f"  window 0 closed: {closed['shapes']}")
             continue
-        for batch, batch_id in round_batches(reporter, population, current):
+        for batch, batch_id in window_round_batches(population, current):
             client.report(batch, batch_id)
         client.close_round(current["round"]["index"])
 
-    batches = round_batches(reporter, population, current)
+    batches = window_round_batches(population, current)
     for batch, batch_id in batches[: len(batches) // 2]:
         client.report(batch, batch_id)
     client.checkpoint()
@@ -147,7 +129,7 @@ def main(n_users: int = 9_000) -> None:
             )
             print(f"  replayed window 1's round; {replayed} duplicates dropped")
             client.close_round(current["round"]["index"])
-        stats = run_window_loadgen(handle.host, handle.port, population)
+        stats = run_loadgen(handle.host, handle.port, population)
 
     served = stats.result
     for payload in served["windows"]:

@@ -263,7 +263,7 @@ def _execute_windows(
         info: dict[str, Any] = {"window_seconds": list(outcome.timings)}
     elif backend == "gateway":
         from repro.server.gateway import CollectionGateway
-        from repro.server.loadgen import run_window_loadgen
+        from repro.server.loadgen import run_loadgen
         from repro.server.testing import serve_in_thread
 
         gateway = CollectionGateway(
@@ -275,7 +275,7 @@ def _execute_windows(
             n_users=int(population.n_users),
         )
         with serve_in_thread(gateway) as handle:
-            stats = run_window_loadgen(
+            stats = run_loadgen(
                 handle.host,
                 handle.port,
                 population,
@@ -292,7 +292,7 @@ def _execute_windows(
             "server_status": stats.server_status,
         }
     else:  # cluster
-        from repro.cluster.loadgen import run_window_cluster_loadgen
+        from repro.cluster.loadgen import run_cluster_loadgen
         from repro.cluster.testing import launch_cluster
 
         with launch_cluster(
@@ -305,7 +305,7 @@ def _execute_windows(
             checkpoint_every=int(options.get("checkpoint_every", 16)),
             mp_context=str(options.get("mp_context", "spawn")),
         ) as cluster:
-            stats = run_window_cluster_loadgen(
+            stats = run_cluster_loadgen(
                 cluster.host,
                 cluster.port,
                 population,

@@ -31,12 +31,20 @@ Built-in backends:
     A real wire boundary: boots a :class:`CollectionGateway` on an ephemeral
     port via :func:`~repro.server.testing.serve_in_thread` and drives the
     population through :func:`~repro.server.loadgen.run_loadgen` sockets.
+``cluster``
+    Multi-process collection: boots a supervised coordinator and shard
+    workers via :func:`~repro.cluster.testing.launch_cluster` and streams
+    each user-id slice straight to its owning worker through
+    :func:`~repro.cluster.loadgen.run_cluster_loadgen` (the same client
+    round loop as ``gateway``, with the cluster's replay policy).
 ``subprocess``
     CLI-backed isolation: serializes the spec + data spec to JSON, executes
     ``python -m repro.cli run --json`` in a child interpreter, and parses the
     child's :class:`RunResult` document.
 
-All four produce byte-identical ``estimates`` under the same master seed
+Every client-side path encodes through one loop,
+:func:`~repro.service.client.round_batches`.  All five backends produce
+byte-identical ``estimates`` under the same master seed
 (``tests/api/test_executors.py``).
 """
 
@@ -73,7 +81,7 @@ from repro.api.results import (
 )
 from repro.api.spec import ExperimentSpec
 from repro.exceptions import ConfigurationError, ExecutionError
-from repro.service.client import ClientReporter
+from repro.service.client import round_batches
 from repro.service.driver import ProtocolDriver
 from repro.service.plan import CollectionPlan, RoundSpec
 from repro.service.population import worker_slices
@@ -317,17 +325,9 @@ def accumulate_user_slice(
     """
     plan = CollectionPlan.from_dict(plan_dict)
     spec = RoundSpec.from_dict(round_dict)
-    reporter = ClientReporter()
     accumulator = new_accumulator(spec)
     n_reports = 0
-    for user_ids, batch_population in population.iter_range(start, stop, batch_size):
-        mask = plan.participant_mask(spec, user_ids)
-        if not mask.any():
-            continue
-        participants = np.flatnonzero(mask)
-        batch = reporter.make_reports(
-            spec, batch_population.take(participants), user_ids[participants]
-        )
+    for batch, _ in round_batches(population, plan, spec, start, stop, batch_size):
         accumulate(spec, accumulator, batch.payload)
         n_reports += len(batch)
     assert accumulator.n_reports == n_reports
@@ -751,7 +751,7 @@ def _coerce_population(
             dataset=data,
             sequences=sequences,
         )
-    if hasattr(data, "iter_batches") and hasattr(data, "n_users"):
+    if hasattr(data, "iter_range") and hasattr(data, "n_users"):
         # A live population source (EncodedPopulation, SyntheticShapeStream,
         # or anything speaking the same protocol).  An EncodedPopulation
         # exposes its sequence lengths, so length_high can still be resolved;
@@ -779,7 +779,7 @@ def _coerce_population(
         )
     raise ConfigurationError(
         "data must be a DataSpec, a LabeledDataset, a population source "
-        f"(iter_batches/n_users), or a sequence list; got {type(data).__name__}"
+        f"(iter_range/n_users), or a sequence list; got {type(data).__name__}"
     )
 
 

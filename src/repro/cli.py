@@ -15,8 +15,9 @@ one ``--backend`` — and ``repro sweep`` for grids:
 * ``serve``     — run the network-facing collection gateway (NDJSON over TCP
   + HTTP ``/status`` / ``/result``), with optional durable checkpoints and
   ``--resume`` crash recovery;
-* ``loadgen``   — hammer a running gateway with the synthetic population over
-  the socket, optionally from multiple worker processes.
+* ``loadgen``   — hammer a running gateway or cluster coordinator (plain or
+  windowed) with the synthetic population over the socket, optionally from
+  multiple worker processes.
 
 Two legacy sub-commands remain as deprecated shims over the same path:
 ``extract`` (= ``run --task extract``) and ``simulate``
@@ -1304,9 +1305,9 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen.add_argument("--workers", type=int, default=0,
                          help="load-generation worker processes (0 = in-process)")
     loadgen.add_argument("--cluster", action="store_true",
-                         help="the target is a cluster coordinator: fetch the "
-                              "worker topology and stream each user-id slice "
-                              "straight to its owning shard worker")
+                         help="the target is a cluster coordinator: replay "
+                              "slices the way a restarted shard worker needs "
+                              "(the topology itself comes from the server's replies)")
     loadgen.add_argument("--chaos-kill-round", type=int, default=None,
                          metavar="ROUND",
                          help="cluster mode fault injection: SIGKILL one shard "

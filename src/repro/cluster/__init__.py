@@ -15,8 +15,8 @@ keeping the estimates *byte-identical* to the offline extractor:
   change a single count);
 * :class:`~repro.cluster.supervisor.Supervisor` — spawns the workers,
   restarts a crashed one on the same port from its last checkpoint;
-* :func:`~repro.cluster.loadgen.run_cluster_loadgen` — topology-aware load
-  generation with slice replay on transport failure, plus
+* :func:`~repro.cluster.loadgen.run_cluster_loadgen` — the shared client
+  round loop with the cluster's slice-replay retry policy, plus
   :class:`~repro.cluster.loadgen.ChaosKill` fault injection;
 * :func:`~repro.cluster.testing.launch_cluster` — one-call boot/teardown
   for tests, benchmarks, and the ``cluster`` execution backend.
@@ -32,7 +32,6 @@ from repro.cluster.coordinator import Coordinator
 from repro.cluster.loadgen import (
     ChaosKill,
     run_cluster_loadgen,
-    run_window_cluster_loadgen,
     stream_worker_slice,
 )
 from repro.cluster.spec import ClusterSpec, WorkerAddress
@@ -50,7 +49,6 @@ __all__ = [
     "WorkerAddress",
     "launch_cluster",
     "run_cluster_loadgen",
-    "run_window_cluster_loadgen",
     "run_worker_process",
     "stream_worker_slice",
 ]

@@ -1,45 +1,32 @@
 """Load generation against a collection cluster.
 
-``run_cluster_loadgen`` mirrors :func:`~repro.server.loadgen.run_loadgen`,
-but routes by topology: it asks the :class:`~repro.cluster.coordinator.
-Coordinator` for the open round *and* the worker addresses + user-id slice
-assignments, then streams every slice straight to its owning
+The client round loop is :func:`~repro.server.loadgen.run_loadgen`, the
+same one that drives a gateway: it reads the topology (worker addresses and
+user-id slice assignments) and any window ticket from the coordinator's own
+replies and streams every slice straight to its owning
 :class:`~repro.cluster.worker.ShardWorker` — the coordinator never touches a
 report.  Each slice stream starts with an idempotent ``open_round``, which
 doubles as the healing path for a worker restarted from a checkpoint taken
 before the round opened.
 
-Crash handling is end-to-end: a transport failure replays the whole slice
-(deterministic batch ids make the replay exact), and a ``close_round``
-answered with ``retryable: true`` replays just the slices the coordinator
-could not collect before retrying the close.  :class:`ChaosKill` injects a
-mid-round ``SIGKILL`` into exactly this machinery so tests and examples can
-prove a worker crash is invisible in the final estimates.
+:func:`run_cluster_loadgen` is that loop with the cluster's retry policy:
+a transport failure replays the whole slice (deterministic batch ids make
+the replay exact), and a ``close_round`` answered with ``retryable: true``
+replays just the slices the coordinator could not collect before retrying
+the close.  :class:`ChaosKill` injects a mid-round ``SIGKILL`` into exactly
+this machinery so tests and examples can prove a worker crash is invisible
+in the final estimates.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import signal
-import time
 from dataclasses import dataclass
-from typing import Any
 
-import numpy as np
+from repro.server.loadgen import LoadgenStats, run_loadgen, stream_worker_slice
 
-from repro.continual.windows import WindowView
-from repro.exceptions import ConfigurationError, ServerConnectionError, ServerError
-from repro.server.client import GatewayClient
-from repro.server.loadgen import (
-    LoadgenRoundStats,
-    LoadgenStats,
-    SliceStats,
-    WindowLoadgenStats,
-    batch_id_for,
-)
-from repro.service.client import ClientReporter
-from repro.service.plan import CollectionPlan, RoundSpec
+__all__ = ["ChaosKill", "run_cluster_loadgen", "stream_worker_slice"]
 
 
 @dataclass
@@ -77,73 +64,6 @@ class ChaosKill:
         return True
 
 
-def stream_worker_slice(
-    host: str,
-    port: int,
-    population,
-    plan_dict: dict[str, Any],
-    round_dict: dict[str, Any],
-    start: int,
-    stop: int,
-    batch_size: int,
-    worker_index: int = 0,
-    worker_pid: int | None = None,
-    max_attempts: int = 12,
-    retry_delay: float = 0.25,
-    chaos: ChaosKill | None = None,
-) -> SliceStats:
-    """Open the round on one worker and stream its slice (with replays).
-
-    Top-level and fully positional so ``Pool.starmap`` can run it.  A
-    transport failure — including one this call *caused* via ``chaos`` —
-    replays the slice from the top after a backoff, giving the supervisor
-    time to restart the worker on the same port.  Empty slices still send
-    ``open_round`` so every worker is collectable at round close.
-    """
-    plan = CollectionPlan.from_dict(plan_dict)
-    spec = RoundSpec.from_dict(round_dict)
-    stats = SliceStats()
-    reporter = ClientReporter()
-    for attempt in range(max(int(max_attempts), 1)):
-        try:
-            with GatewayClient(host, port) as client:
-                client.request(
-                    {"op": "open_round", "round": round_dict, "start": start, "stop": stop}
-                )
-                for user_ids, batch_population in population.iter_range(
-                    start, stop, batch_size
-                ):
-                    mask = plan.participant_mask(spec, user_ids)
-                    if not mask.any():
-                        continue
-                    participants = np.flatnonzero(mask)
-                    batch = reporter.make_reports(
-                        spec,
-                        batch_population.take(participants),
-                        user_ids[participants],
-                    )
-                    response = client.report(
-                        batch,
-                        batch_id=batch_id_for(
-                            spec.index, user_ids[0], user_ids[-1] + 1
-                        ),
-                    )
-                    stats.batches += 1
-                    if response.get("accepted"):
-                        stats.accepted += int(response.get("reports", len(batch)))
-                    if chaos is not None:
-                        chaos.maybe_fire(
-                            spec.index, worker_index, stats.batches, worker_pid
-                        )
-            return stats
-        except ServerConnectionError:
-            if attempt + 1 >= max_attempts:
-                raise
-            stats.retries += 1
-            time.sleep(min(retry_delay * (attempt + 1), 2.0))
-    return stats  # pragma: no cover - loop always returns or raises
-
-
 def run_cluster_loadgen(
     host: str,
     port: int,
@@ -157,252 +77,20 @@ def run_cluster_loadgen(
     max_attempts: int = 12,
     retry_delay: float = 0.25,
 ) -> LoadgenStats:
-    """Drive a complete collection run against a cluster coordinator.
+    """Drive a complete (plain or windowed) run against a cluster coordinator.
 
-    ``workers=0`` streams the slices sequentially in-process (deterministic,
-    test-friendly); ``workers>=1`` fans the slices out over that many OS
-    processes.  Either way the reports go straight to the shard workers; the
-    coordinator only sequences rounds and merges.
+    :func:`~repro.server.loadgen.run_loadgen` with retry defaults sized for
+    the supervisor to restart a killed worker before the replays run out.
     """
-    if batch_size <= 0:
-        raise ValueError(f"batch_size must be positive, got {batch_size}")
-    stats = LoadgenStats(workers=max(int(workers), 0))
-    n_users = population.n_users
-    started = time.perf_counter()
-    pool = None
-    try:
-        with GatewayClient(host, port, timeout=timeout) as control:
-            hello = control.hello()
-            if int(hello.get("n_users", -1)) != n_users:
-                raise ConfigurationError(
-                    f"cluster is sized for {hello.get('n_users')} users, "
-                    f"population has {n_users}"
-                )
-            while True:
-                current = control.round()
-                if current["done"]:
-                    break
-                round_dict, plan_dict = current["round"], current["plan"]
-                addresses = current["workers"]
-                assignments = [tuple(a) for a in current["assignments"]]
-                round_started = time.perf_counter()
-                tasks = [
-                    (
-                        address["host"],
-                        address["port"],
-                        population,
-                        plan_dict,
-                        round_dict,
-                        start,
-                        stop,
-                        batch_size,
-                        address["index"],
-                        address.get("pid"),
-                        max_attempts,
-                        retry_delay,
-                        chaos,
-                    )
-                    for address, (start, stop) in zip(addresses, assignments)
-                ]
-                if stats.workers >= 1:
-                    if pool is None:
-                        context = multiprocessing.get_context(mp_context)
-                        pool = context.Pool(min(stats.workers, len(tasks)))
-                    slice_stats = pool.starmap(stream_worker_slice, tasks)
-                else:
-                    slice_stats = [stream_worker_slice(*task) for task in tasks]
-                stats.batches += sum(s.batches for s in slice_stats)
-                stats.retries += sum(s.retries for s in slice_stats)
-                closed = _close_with_replays(
-                    control,
-                    int(round_dict["index"]),
-                    tasks,
-                    stats,
-                    max_attempts=max_attempts,
-                    retry_delay=retry_delay,
-                )
-                stats.rounds.append(
-                    LoadgenRoundStats(
-                        index=int(round_dict["index"]),
-                        kind=str(round_dict["kind"]),
-                        # The coordinator's merged aggregate is authoritative:
-                        # client-side accepted counts double-count any batch a
-                        # crashed worker lost after acking and re-accepted on
-                        # replay.
-                        reports=int(closed["reports"])
-                        if closed is not None
-                        else int(sum(s.accepted for s in slice_stats)),
-                        elapsed_seconds=time.perf_counter() - round_started,
-                        level=int(round_dict.get("level", -1)),
-                    )
-                )
-            stats.total_seconds = time.perf_counter() - started
-            stats.total_reports = sum(r.reports for r in stats.rounds)
-            stats.result = control.result()
-            stats.server_status = control.status()
-    finally:
-        if pool is not None:
-            pool.terminate()
-            pool.join()
-    return stats
-
-
-def run_window_cluster_loadgen(
-    host: str,
-    port: int,
-    population,
-    *,
-    batch_size: int = 8192,
-    workers: int = 0,
-    mp_context: str = "spawn",
-    timeout: float = 120.0,
-    chaos: ChaosKill | None = None,
-    max_attempts: int = 12,
-    retry_delay: float = 0.25,
-) -> WindowLoadgenStats:
-    """Drive a complete *continual* run against a windowed cluster coordinator.
-
-    Same contract as :func:`run_cluster_loadgen`, window by window: the
-    coordinator's slice assignments partition the current window's LOCAL id
-    space, so every slice streams from a :class:`~repro.continual.windows.
-    WindowView` of the population, and a ``window`` op folds each finished
-    window into the run before the next one opens.  Crash handling (slice
-    replay, retryable closes, :class:`ChaosKill`) is unchanged.
-    """
-    if batch_size <= 0:
-        raise ValueError(f"batch_size must be positive, got {batch_size}")
-    stats = WindowLoadgenStats(workers=max(int(workers), 0))
-    started = time.perf_counter()
-    pool = None
-    try:
-        with GatewayClient(host, port, timeout=timeout) as control:
-            hello = control.hello()
-            info = hello.get("windows")
-            if info is None:
-                raise ConfigurationError(
-                    "coordinator is not running a continual plan; "
-                    "use run_cluster_loadgen"
-                )
-            if int(info["n_users"]) != int(population.n_users):
-                raise ConfigurationError(
-                    f"cluster planned windows over {info['n_users']} users, "
-                    f"population has {population.n_users}"
-                )
-            while True:
-                current = control.round()
-                if current["done"]:
-                    break
-                if current.get("window_done"):
-                    advanced = control.request({"op": "window"})
-                    closed = advanced.get("closed", {})
-                    stats.windows.append(
-                        {
-                            "window": closed.get("window"),
-                            "attempt": closed.get("attempt"),
-                            "mode": closed.get("mode"),
-                            "final": closed.get("final"),
-                            "shapes": closed.get("shapes"),
-                        }
-                    )
-                    continue
-                ticket = current["window"]
-                view = WindowView(population, ticket["start"], ticket["stop"])
-                round_dict, plan_dict = current["round"], current["plan"]
-                addresses = current["workers"]
-                assignments = [tuple(a) for a in current["assignments"]]
-                round_started = time.perf_counter()
-                tasks = [
-                    (
-                        address["host"],
-                        address["port"],
-                        view,
-                        plan_dict,
-                        round_dict,
-                        start,
-                        stop,
-                        batch_size,
-                        address["index"],
-                        address.get("pid"),
-                        max_attempts,
-                        retry_delay,
-                        chaos,
-                    )
-                    for address, (start, stop) in zip(addresses, assignments)
-                ]
-                if stats.workers >= 1:
-                    if pool is None:
-                        context = multiprocessing.get_context(mp_context)
-                        pool = context.Pool(min(stats.workers, len(tasks)))
-                    slice_stats = pool.starmap(stream_worker_slice, tasks)
-                else:
-                    slice_stats = [stream_worker_slice(*task) for task in tasks]
-                stats.batches += sum(s.batches for s in slice_stats)
-                stats.retries += sum(s.retries for s in slice_stats)
-                closed = _close_with_replays(
-                    control,
-                    int(round_dict["index"]),
-                    tasks,
-                    stats,
-                    max_attempts=max_attempts,
-                    retry_delay=retry_delay,
-                )
-                stats.rounds.append(
-                    LoadgenRoundStats(
-                        index=int(round_dict["index"]),
-                        kind=str(round_dict["kind"]),
-                        reports=int(closed["reports"])
-                        if closed is not None
-                        else int(sum(s.accepted for s in slice_stats)),
-                        elapsed_seconds=time.perf_counter() - round_started,
-                        level=int(round_dict.get("level", -1)),
-                    )
-                )
-            stats.total_seconds = time.perf_counter() - started
-            stats.total_reports = sum(r.reports for r in stats.rounds)
-            stats.result = control.result()
-            stats.server_status = control.status()
-    finally:
-        if pool is not None:
-            pool.terminate()
-            pool.join()
-    return stats
-
-
-def _close_with_replays(
-    control: GatewayClient,
-    round_index: int,
-    tasks: list[tuple],
-    stats: LoadgenStats,
-    *,
-    max_attempts: int,
-    retry_delay: float,
-) -> dict[str, Any] | None:
-    """Close one round, replaying uncollectable slices until it sticks.
-
-    Returns the coordinator's ``closed`` record (authoritative report count),
-    or ``None`` when a retried close found the round already closed.
-    """
-    by_worker = {task[8]: task for task in tasks}
-    for attempt in range(max(int(max_attempts), 1)):
-        response = control.request(
-            {"op": "close_round", "round": round_index}, check=False
-        )
-        if response.get("ok"):
-            return response.get("closed")
-        failed = response.get("failed_workers")
-        if not response.get("retryable") or not failed:
-            raise ServerError(
-                f"server rejected 'close_round': {response.get('error')}"
-            )
-        stats.retries += 1
-        time.sleep(min(retry_delay * (attempt + 1), 2.0))
-        for index in failed:
-            # Replay in-process with chaos disarmed: the point is recovery.
-            task = list(by_worker[index])
-            task[12] = None
-            replayed = stream_worker_slice(*task)
-            stats.batches += replayed.batches
-            stats.retries += replayed.retries
-    raise ServerError(
-        f"could not close round {round_index} after {max_attempts} attempts"
+    return run_loadgen(
+        host,
+        port,
+        population,
+        batch_size=batch_size,
+        workers=workers,
+        mp_context=mp_context,
+        timeout=timeout,
+        max_attempts=max_attempts,
+        retry_delay=retry_delay,
+        chaos=chaos,
     )

@@ -16,9 +16,10 @@ round-based collection service:
   mid-round, enabling exact crash recovery via
   :meth:`CollectionGateway.from_checkpoint`;
 * :class:`GatewayClient` — the blocking reference client;
-* :func:`run_loadgen` — a multi-process load generator built on
-  :class:`~repro.service.population.SyntheticShapeStream` and the vectorized
-  client encoding paths (``repro loadgen`` on the command line);
+* :func:`run_loadgen` — the one client round loop over the socket, for a
+  gateway or a cluster coordinator, plain or windowed (it reads which from
+  the server's replies), optionally fanned out over OS processes
+  (``repro loadgen`` on the command line);
 * :func:`serve_in_thread` — in-process hosting for tests and benchmarks,
   returning a :class:`ServerHandle`;
 * :func:`publish_port` / :func:`wait_for_port_file` — atomic port-file
@@ -36,11 +37,9 @@ from repro.server.loadgen import (
     LoadgenRoundStats,
     LoadgenStats,
     SliceStats,
-    WindowLoadgenStats,
-    batch_id_for,
+    SliceTask,
     run_loadgen,
-    run_window_loadgen,
-    stream_round,
+    stream_worker_slice,
 )
 from repro.server.portfile import publish_port, read_port, wait_for_port_file
 from repro.server.state import CheckpointStore
@@ -53,6 +52,7 @@ from repro.server.wire import (
     decode_message,
     encode_message,
 )
+from repro.service.client import batch_id_for
 
 __all__ = [
     "SocketServiceBase",
@@ -67,13 +67,12 @@ __all__ = [
     "read_port",
     "wait_for_port_file",
     "run_loadgen",
-    "run_window_loadgen",
-    "stream_round",
+    "stream_worker_slice",
     "batch_id_for",
     "LoadgenStats",
     "LoadgenRoundStats",
     "SliceStats",
-    "WindowLoadgenStats",
+    "SliceTask",
     "PROTOCOL_VERSION",
     "MAX_LINE_BYTES",
     "encode_message",

@@ -1,41 +1,48 @@
-"""Load generation for the collection gateway.
+"""Load generation against a collection gateway or a cluster coordinator.
 
-``run_loadgen`` drives a full protocol run over the socket: it asks the
-gateway for the open round, streams a population source through the
-vectorized :class:`~repro.service.client.ClientReporter` encoding paths,
-ships the resulting :class:`~repro.service.reports.ReportBatch` frames, and
-closes the round — repeating until the protocol is done.
+``run_loadgen`` is the one client-side round loop over the socket: it asks
+the server for the open round, streams every user-id slice of it through
+:func:`~repro.service.client.round_batches`, ships the resulting
+:class:`~repro.service.reports.ReportBatch` frames and closes the round —
+repeating until the protocol is done.  Everything it needs to know about the
+server comes from the server's own replies:
 
-The per-round streaming can fan out over ``workers`` OS processes: user ids
-are split into contiguous slices and every worker regenerates its own slice
-(populations are PRF-keyed pure functions of the user id, so slices are
-exact).  Batch ids are deterministic functions of ``(round, user-id window)``,
-which makes retries and post-crash replays idempotent on the server side: a
-slice can be replayed from the top after a connection failure and every
-already-accepted batch is acknowledged without being counted twice.
+* **windows** — a ``round`` reply carrying a ``window`` ticket streams a
+  :class:`~repro.continual.windows.WindowView` of the population (the
+  ticket's users, re-based to local ids), and ``window_done`` is answered
+  with a ``window`` op that folds the window in and opens the next one;
+* **topology** — a coordinator's reply carries worker addresses and user-id
+  slice ``assignments``, and every slice goes straight to its owning shard
+  worker (opened with an idempotent ``open_round``); a gateway's reply
+  carries neither, and the population is cut into ``max(workers, 1)``
+  contiguous slices against the one address.
+
+Slices run in-process (``workers=0``, deterministic) or on a pool of that
+many OS processes; populations are PRF-keyed pure functions of the user id,
+so slices are exact.  Batch ids are deterministic functions of ``(round,
+user-id window)``, which makes retries and post-crash replays idempotent on
+the server side: a transport failure replays the whole slice from the top,
+and a coordinator's ``close_round`` answered ``retryable`` replays just the
+slices it could not collect before retrying the close.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import time
-from dataclasses import dataclass, field
-from typing import Any
-
-import numpy as np
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Any
 
 from repro.continual.windows import WindowView
-from repro.exceptions import ConfigurationError, ServerConnectionError
-from repro.obs import PHASE_ENCODE, PHASE_TRANSPORT, profile_phase, trace_span
+from repro.exceptions import ConfigurationError, ServerConnectionError, ServerError
+from repro.obs import PHASE_TRANSPORT, profile_phase, trace_span
 from repro.server.client import GatewayClient
-from repro.service.client import ClientReporter
+from repro.service.client import round_batches
 from repro.service.plan import CollectionPlan, RoundSpec
 from repro.service.population import worker_slices
 
-
-def batch_id_for(round_index: int, window_start: int, window_stop: int) -> str:
-    """The deterministic idempotency key of one (round, user-window) batch."""
-    return f"r{int(round_index)}:u{int(window_start)}:{int(window_stop)}"
+if TYPE_CHECKING:
+    from repro.cluster.loadgen import ChaosKill
 
 
 @dataclass
@@ -50,71 +57,112 @@ class SliceStats:
     retries: int = 0
 
 
-def _stream_once(
-    client: GatewayClient,
-    population,
-    plan: CollectionPlan,
-    spec: RoundSpec,
-    start: int,
-    stop: int,
-    batch_size: int,
-    stats: SliceStats,
-) -> None:
-    reporter = ClientReporter()
-    for user_ids, batch_population in population.iter_range(start, stop, batch_size):
-        mask = plan.participant_mask(spec, user_ids)
-        if not mask.any():
-            continue
-        participants = np.flatnonzero(mask)
-        with profile_phase(PHASE_ENCODE, spec.index):
-            batch = reporter.make_reports(
-                spec, batch_population.take(participants), user_ids[participants]
-            )
-        with profile_phase(PHASE_TRANSPORT, spec.index):
-            response = client.report(
-                batch,
-                batch_id=batch_id_for(spec.index, user_ids[0], user_ids[-1] + 1),
-            )
-        stats.batches += 1
-        if response.get("accepted"):
-            stats.accepted += int(response.get("reports", len(batch)))
+@dataclass(frozen=True)
+class SliceTask:
+    """One round's user-id slice ``[start, stop)`` bound for one address.
+
+    Picklable, so pool workers receive it whole.  ``worker_index`` is set
+    only when a coordinator assigned the slice to one of its shard workers.
+    """
+
+    host: str
+    port: int
+    population: Any
+    plan: dict[str, Any]
+    round: dict[str, Any]
+    start: int
+    stop: int
+    batch_size: int
+    max_attempts: int
+    retry_delay: float
+    worker_index: int | None = None
+    worker_pid: int | None = None
+    chaos: ChaosKill | None = None
 
 
-def stream_round(
+def slice_tasks(
+    current: dict[str, Any],
     host: str,
     port: int,
     population,
-    plan_dict: dict[str, Any],
-    round_dict: dict[str, Any],
-    start: int,
-    stop: int,
-    batch_size: int,
     *,
-    max_attempts: int = 1,
-    retry_delay: float = 0.5,
-) -> SliceStats:
-    """Stream one round's reports for the user-id slice ``[start, stop)``.
+    workers: int,
+    batch_size: int,
+    max_attempts: int,
+    retry_delay: float,
+    chaos: ChaosKill | None = None,
+) -> list[SliceTask]:
+    """The slices one ``round`` reply asks for, all under one retry policy."""
+    ticket = current.get("window")
+    if ticket is not None:
+        population = WindowView(population, ticket["start"], ticket["stop"])
+    common = dict(
+        population=population,
+        plan=current["plan"],
+        round=current["round"],
+        batch_size=batch_size,
+        max_attempts=max_attempts,
+        retry_delay=retry_delay,
+    )
+    if "assignments" in current:
+        return [
+            SliceTask(
+                host=address["host"],
+                port=address["port"],
+                start=start,
+                stop=stop,
+                worker_index=address["index"],
+                worker_pid=address.get("pid"),
+                chaos=chaos,
+                **common,
+            )
+            for address, (start, stop) in zip(current["workers"], current["assignments"])
+        ]
+    return [
+        SliceTask(host=host, port=port, start=start, stop=stop, **common)
+        for start, stop in worker_slices(population.n_users, max(workers, 1))
+    ]
 
-    Top-level (picklable) so multiprocessing workers can run it.  A transport
-    failure (the server died or a connection dropped) replays the whole slice
-    from the top, up to ``max_attempts`` times — deterministic batch ids make
-    the replay exact.  Protocol rejections are never retried.
+
+def stream_worker_slice(task: SliceTask) -> SliceStats:
+    """Stream one slice of one round, replaying it on transport failures.
+
+    Top-level so pool workers can run it.  A coordinator-assigned slice
+    first sends ``open_round`` — even when empty, so every worker is
+    collectable at round close — and is the only kind ``chaos`` can fire
+    on.  A transport failure (including one ``chaos`` caused) replays the
+    slice from the top after a backoff, up to ``max_attempts`` times;
+    protocol rejections are never retried.
     """
-    plan = CollectionPlan.from_dict(plan_dict)
-    spec = RoundSpec.from_dict(round_dict)
+    plan = CollectionPlan.from_dict(task.plan)
+    spec = RoundSpec.from_dict(task.round)
     stats = SliceStats()
-    for attempt in range(max(int(max_attempts), 1)):
+    for attempt in range(max(int(task.max_attempts), 1)):
         try:
-            with GatewayClient(host, port) as client:
-                _stream_once(
-                    client, population, plan, spec, start, stop, batch_size, stats
-                )
+            with GatewayClient(task.host, task.port) as client:
+                if task.worker_index is not None:
+                    client.request(
+                        {"op": "open_round", "round": task.round,
+                         "start": task.start, "stop": task.stop}
+                    )
+                for batch, batch_id in round_batches(
+                    task.population, plan, spec, task.start, task.stop, task.batch_size
+                ):
+                    with profile_phase(PHASE_TRANSPORT, spec.index):
+                        response = client.report(batch, batch_id=batch_id)
+                    stats.batches += 1
+                    if response.get("accepted"):
+                        stats.accepted += int(response.get("reports", len(batch)))
+                    if task.chaos is not None and task.worker_index is not None:
+                        task.chaos.maybe_fire(
+                            spec.index, task.worker_index, stats.batches, task.worker_pid
+                        )
             return stats
         except ServerConnectionError:
-            if attempt + 1 >= max_attempts:
+            if attempt + 1 >= task.max_attempts:
                 raise
             stats.retries += 1
-            time.sleep(min(retry_delay * (attempt + 1), 2.0))
+            time.sleep(min(task.retry_delay * (attempt + 1), 2.0))
     return stats  # pragma: no cover - loop always returns or raises
 
 
@@ -158,6 +206,8 @@ class LoadgenStats:
     retries: int = 0
     result: dict[str, Any] | None = None
     server_status: dict[str, Any] | None = None
+    #: One summary per ``window`` op driven (continual servers only).
+    windows: list[dict[str, Any]] = field(default_factory=list)
 
     @property
     def reports_per_second(self) -> float:
@@ -188,7 +238,19 @@ class LoadgenStats:
             "summary": self.summary(),
             "result": self.result,
             "server_status": self.server_status,
+            "windows": self.windows,
         }
+
+
+def _check_population_size(hello: dict[str, Any], population) -> None:
+    """Refuse a population whose size differs from the one the server planned."""
+    windows = hello.get("windows")
+    planned = hello.get("n_users") if windows is None else windows["n_users"]
+    if planned is not None and int(planned) != int(population.n_users):
+        scope = "is sized for" if windows is None else "planned windows over"
+        raise ConfigurationError(
+            f"server {scope} {planned} users, population has {population.n_users}"
+        )
 
 
 def run_loadgen(
@@ -200,185 +262,81 @@ def run_loadgen(
     workers: int = 0,
     mp_context: str = "spawn",
     timeout: float = 120.0,
+    max_attempts: int = 1,
+    retry_delay: float = 0.5,
+    chaos: ChaosKill | None = None,
 ) -> LoadgenStats:
-    """Drive a complete collection run against a gateway and fetch the result.
+    """Drive a complete collection run against a gateway or a coordinator.
 
-    ``workers=0`` streams in-process (deterministic, test-friendly);
-    ``workers>=1`` fans each round out over that many OS processes.
+    ``workers=0`` streams the slices in-process (deterministic,
+    test-friendly); ``workers>=1`` runs them on that many OS processes.
+    Either way every slice gets the same retry policy (``max_attempts``,
+    ``retry_delay``), and ``chaos`` can fire only on coordinator-assigned
+    slices.
     """
     if batch_size <= 0:
         raise ValueError(f"batch_size must be positive, got {batch_size}")
     stats = LoadgenStats(workers=max(int(workers), 0))
-    n_users = population.n_users
     started = time.perf_counter()
     pool = None
     try:
         with GatewayClient(host, port, timeout=timeout) as control:
-            while True:
-                current = control.round()
-                if current["done"]:
-                    break
-                round_dict, plan_dict = current["round"], current["plan"]
-                round_started = time.perf_counter()
-                with trace_span(
-                    "loadgen.round",
-                    round=round_dict["index"],
-                    kind=round_dict["kind"],
-                ):
-                    if stats.workers >= 1:
-                        slices = worker_slices(n_users, stats.workers)
-                        if pool is None:
-                            # One pool for the whole run: workers pay the
-                            # spawn + import cost once, not once per round.
-                            context = multiprocessing.get_context(mp_context)
-                            pool = context.Pool(len(slices))
-                        slice_stats = pool.starmap(
-                            stream_round,
-                            [
-                                (host, port, population, plan_dict, round_dict,
-                                 start, stop, batch_size)
-                                for start, stop in slices
-                            ],
-                        )
-                    else:
-                        slice_stats = [
-                            stream_round(
-                                host, port, population, plan_dict, round_dict,
-                                0, n_users, batch_size,
-                            )
-                        ]
-                    control.close_round(round_dict["index"])
-                stats.batches += sum(s.batches for s in slice_stats)
-                stats.retries += sum(s.retries for s in slice_stats)
-                stats.rounds.append(
-                    LoadgenRoundStats(
-                        index=int(round_dict["index"]),
-                        kind=str(round_dict["kind"]),
-                        reports=int(sum(s.accepted for s in slice_stats)),
-                        elapsed_seconds=time.perf_counter() - round_started,
-                        level=int(round_dict.get("level", -1)),
-                    )
-                )
-            stats.total_seconds = time.perf_counter() - started
-            stats.total_reports = sum(r.reports for r in stats.rounds)
-            stats.result = control.result()
-            stats.server_status = control.status()
-    finally:
-        if pool is not None:
-            pool.terminate()
-            pool.join()
-    return stats
-
-
-@dataclass
-class WindowLoadgenStats(LoadgenStats):
-    """Loadgen stats for a continual run: rounds plus closed-window records."""
-
-    #: One summary per ``window`` op the loadgen drove, in execution order.
-    windows: list[dict[str, Any]] = field(default_factory=list)
-
-    def to_dict(self) -> dict[str, Any]:
-        data = super().to_dict()
-        data["windows"] = self.windows
-        return data
-
-
-def run_window_loadgen(
-    host: str,
-    port: int,
-    population,
-    *,
-    batch_size: int = 8192,
-    workers: int = 0,
-    mp_context: str = "spawn",
-    timeout: float = 120.0,
-    max_attempts: int = 1,
-    retry_delay: float = 0.5,
-) -> WindowLoadgenStats:
-    """Drive a complete *continual* run against a windowed gateway.
-
-    Same contract as :func:`run_loadgen`, window by window: each round is
-    streamed from a :class:`~repro.continual.windows.WindowView` of the
-    population (the current ticket's user slice, re-based to local ids so
-    the gateway's estimates are byte-identical to a standalone run), and
-    whenever the gateway reports the window's protocol finished, a
-    ``window`` op folds it into the run and opens the next window.
-    """
-    if batch_size <= 0:
-        raise ValueError(f"batch_size must be positive, got {batch_size}")
-    stats = WindowLoadgenStats(workers=max(int(workers), 0))
-    started = time.perf_counter()
-    pool = None
-    try:
-        with GatewayClient(host, port, timeout=timeout) as control:
-            hello = control.hello()
-            info = hello.get("windows")
-            if info is None:
-                raise ConfigurationError(
-                    "gateway is not running a continual plan; use run_loadgen"
-                )
-            if int(info["n_users"]) != int(population.n_users):
-                raise ConfigurationError(
-                    f"gateway planned windows over {info['n_users']} users, "
-                    f"population has {population.n_users}"
-                )
+            _check_population_size(control.hello(), population)
             while True:
                 current = control.round()
                 if current["done"]:
                     break
                 if current.get("window_done"):
-                    advanced = control.request({"op": "window"})
-                    closed = advanced.get("closed", {})
+                    closed = control.request({"op": "window"}).get("closed", {})
                     stats.windows.append(
-                        {
-                            "window": closed.get("window"),
-                            "attempt": closed.get("attempt"),
-                            "mode": closed.get("mode"),
-                            "final": closed.get("final"),
-                            "shapes": closed.get("shapes"),
-                        }
+                        {key: closed.get(key)
+                         for key in ("window", "attempt", "mode", "final", "shapes")}
                     )
                     continue
-                ticket = current["window"]
-                view = WindowView(population, ticket["start"], ticket["stop"])
-                round_dict, plan_dict = current["round"], current["plan"]
+                round_dict = current["round"]
+                tasks = slice_tasks(
+                    current, host, port, population,
+                    workers=stats.workers, batch_size=batch_size,
+                    max_attempts=max_attempts, retry_delay=retry_delay, chaos=chaos,
+                )
+                ticket = current.get("window")
                 round_started = time.perf_counter()
                 with trace_span(
                     "loadgen.round",
                     round=round_dict["index"],
                     kind=round_dict["kind"],
-                    window=ticket["index"],
+                    **({} if ticket is None else {"window": ticket["index"]}),
                 ):
                     if stats.workers >= 1:
-                        slices = worker_slices(view.n_users, stats.workers)
                         if pool is None:
+                            # One pool for the whole run: workers pay the
+                            # spawn + import cost once, not once per round.
                             context = multiprocessing.get_context(mp_context)
-                            pool = context.Pool(min(stats.workers, len(slices)))
-                        slice_stats = pool.starmap(
-                            stream_round,
-                            [
-                                (host, port, view, plan_dict, round_dict,
-                                 start, stop, batch_size)
-                                for start, stop in slices
-                            ],
-                        )
+                            pool = context.Pool(min(stats.workers, len(tasks)))
+                        slice_stats = pool.map(stream_worker_slice, tasks)
                     else:
-                        slice_stats = [
-                            stream_round(
-                                host, port, view, plan_dict, round_dict,
-                                0, view.n_users, batch_size,
-                                max_attempts=max_attempts,
-                                retry_delay=retry_delay,
-                            )
-                        ]
-                    control.close_round(round_dict["index"])
-                stats.batches += sum(s.batches for s in slice_stats)
-                stats.retries += sum(s.retries for s in slice_stats)
+                        slice_stats = [stream_worker_slice(task) for task in tasks]
+                    stats.batches += sum(s.batches for s in slice_stats)
+                    stats.retries += sum(s.retries for s in slice_stats)
+                    closed = _close_with_replays(
+                        control,
+                        int(round_dict["index"]),
+                        tasks,
+                        stats,
+                        max_attempts=max_attempts,
+                        retry_delay=retry_delay,
+                    )
                 stats.rounds.append(
                     LoadgenRoundStats(
                         index=int(round_dict["index"]),
                         kind=str(round_dict["kind"]),
-                        reports=int(sum(s.accepted for s in slice_stats)),
+                        # A coordinator's merged aggregate is authoritative:
+                        # client-side accepted counts double-count any batch a
+                        # crashed worker lost after acking and re-accepted on
+                        # replay.  A gateway sends no such record.
+                        reports=int(closed["reports"])
+                        if closed is not None
+                        else int(sum(s.accepted for s in slice_stats)),
                         elapsed_seconds=time.perf_counter() - round_started,
                         level=int(round_dict.get("level", -1)),
                     )
@@ -392,3 +350,42 @@ def run_window_loadgen(
             pool.terminate()
             pool.join()
     return stats
+
+
+def _close_with_replays(
+    control: GatewayClient,
+    round_index: int,
+    tasks: list[SliceTask],
+    stats: LoadgenStats,
+    *,
+    max_attempts: int,
+    retry_delay: float,
+) -> dict[str, Any] | None:
+    """Close one round, replaying uncollectable slices until it sticks.
+
+    Returns the coordinator's ``closed`` record (authoritative report count),
+    or ``None`` when the server sent none (a gateway, or a retried close that
+    found the round already closed).
+    """
+    by_worker = {task.worker_index: task for task in tasks}
+    for attempt in range(max(int(max_attempts), 1)):
+        response = control.request(
+            {"op": "close_round", "round": round_index}, check=False
+        )
+        if response.get("ok"):
+            return response.get("closed")
+        failed = response.get("failed_workers")
+        if not response.get("retryable") or not failed:
+            raise ServerError(
+                f"server rejected 'close_round': {response.get('error')}"
+            )
+        stats.retries += 1
+        time.sleep(min(retry_delay * (attempt + 1), 2.0))
+        for index in failed:
+            # Replay in-process with chaos disarmed: the point is recovery.
+            replayed = stream_worker_slice(replace(by_worker[index], chaos=None))
+            stats.batches += replayed.batches
+            stats.retries += replayed.retries
+    raise ServerError(
+        f"could not close round {round_index} after {max_attempts} attempts"
+    )

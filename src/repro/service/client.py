@@ -7,16 +7,22 @@ compact LDP report per user.  All randomness is PRF-keyed by
 always produces the same report for the same round no matter how the
 population is batched — which is what makes streaming collection equivalent
 to the offline path.
+
+:func:`round_batches` is the one client round loop every collection path
+iterates (the in-process driver, the sharded executor and the socket load
+generators): it streams a user-id slice, keeps the round's participants and
+encodes them, one :class:`ReportBatch` per population window.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from repro.core.trie import Shape
-from repro.service.plan import RoundSpec
+from repro.obs.profiling import PHASE_ENCODE, profile_phase
+from repro.service.plan import CollectionPlan, RoundSpec
 from repro.service.population import EncodedPopulation
 from repro.service.reports import ReportBatch
 from repro.service.rounds import encode_reports
@@ -72,3 +78,35 @@ class ClientReporter:
         return self.make_reports(
             spec, population, np.array([int(user_id)], dtype=np.int64)
         )
+
+
+def batch_id_for(round_index: int, window_start: int, window_stop: int) -> str:
+    """The deterministic idempotency key of one (round, user-window) batch."""
+    return f"r{int(round_index)}:u{int(window_start)}:{int(window_stop)}"
+
+
+def round_batches(
+    population,
+    plan: CollectionPlan,
+    spec: RoundSpec,
+    start: int,
+    stop: int,
+    batch_size: int,
+) -> Iterator[tuple[ReportBatch, str]]:
+    """Encode one round's participants in the user-id slice ``[start, stop)``.
+
+    Yields ``(batch, batch_id)`` per ``iter_range`` window that holds at least
+    one participant; the id names the whole window, so a replay of the slice
+    with the same ``batch_size`` reproduces every id exactly.
+    """
+    reporter = ClientReporter()
+    for user_ids, batch_population in population.iter_range(start, stop, batch_size):
+        mask = plan.participant_mask(spec, user_ids)
+        if not mask.any():
+            continue
+        participants = np.flatnonzero(mask)
+        with profile_phase(PHASE_ENCODE, spec.index):
+            batch = reporter.make_reports(
+                spec, batch_population.take(participants), user_ids[participants]
+            )
+        yield batch, batch_id_for(spec.index, user_ids[0], user_ids[-1] + 1)

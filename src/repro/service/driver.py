@@ -4,10 +4,10 @@
 
 1. ask the :class:`~repro.service.protocol.PrivShapeEngine` for the next
    :class:`RoundSpec`;
-2. stream the population source batch by batch, let the stateless
-   :class:`~repro.service.client.ClientReporter` encode the round's
-   participants, optionally push every batch through the wire format
-   (``serialize=True``), and feed it to a
+2. stream the population source through the shared client round loop
+   (:func:`~repro.service.client.round_batches`), which encodes the round's
+   participants batch by batch; optionally push every batch through the wire
+   format (``serialize=True``), and feed it to a
    :class:`~repro.service.aggregator.ShardedAggregator`;
 3. close the round with the merged aggregate and repeat until the engine
    reports the protocol done.
@@ -24,20 +24,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-import numpy as np
-
 from repro.core.config import PrivShapeConfig
 from repro.core.results import ShapeExtractionResult
 from repro.obs.profiling import (
     PHASE_AGGREGATE,
-    PHASE_ENCODE,
     PHASE_ESTIMATE,
     PHASE_TRANSPORT,
     profile_phase,
 )
 from repro.obs.tracing import trace_span
 from repro.service.aggregator import ShardedAggregator
-from repro.service.client import ClientReporter
+from repro.service.client import round_batches
 from repro.service.metrics import ThroughputMeter, peak_rss_bytes
 from repro.service.protocol import PrivShapeEngine
 from repro.service.reports import ReportBatch
@@ -131,7 +128,6 @@ class ProtocolDriver:
         """
         if engine is None:
             engine = PrivShapeEngine(self.config, rng=self.rng)
-        reporter = ClientReporter()
         total = ThroughputMeter()
         total.start()
         while (spec := engine.open_round()) is not None:
@@ -144,19 +140,10 @@ class ProtocolDriver:
             # touches the engine's generator.
             with trace_span("round", round=spec.index, kind=spec.kind,
                             level=spec.level):
-                for user_ids, batch_population in self.population.iter_batches(
-                    self.batch_size
+                for batch, _ in round_batches(
+                    self.population, engine.plan, spec,
+                    0, self.population.n_users, self.batch_size,
                 ):
-                    mask = engine.plan.participant_mask(spec, user_ids)
-                    if not mask.any():
-                        continue
-                    participants = np.flatnonzero(mask)
-                    with profile_phase(PHASE_ENCODE, spec.index):
-                        batch = reporter.make_reports(
-                            spec,
-                            batch_population.take(participants),
-                            user_ids[participants],
-                        )
                     if self.serialize:
                         with profile_phase(PHASE_TRANSPORT, spec.index):
                             batch = ReportBatch.from_bytes(batch.to_bytes())

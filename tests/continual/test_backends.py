@@ -7,22 +7,21 @@ gateway killed mid-window and restored from its checkpoint must leave every
 window's estimates unchanged.
 """
 
-import numpy as np
 import pytest
 
-from repro.cluster import launch_cluster, run_window_cluster_loadgen
+from repro.cluster import launch_cluster, run_cluster_loadgen
 from repro.continual import ContinualEngine
 from repro.continual.windows import WindowSpec, WindowView
 from repro.core.config import PrivShapeConfig
+from repro.exceptions import ConfigurationError
 from repro.server import (
     CollectionGateway,
     GatewayClient,
-    batch_id_for,
-    run_window_loadgen,
+    run_loadgen,
     serve_in_thread,
 )
-from repro.service import DriftingShapeStream
-from repro.service.client import ClientReporter
+from repro.service import DriftingShapeStream, SyntheticShapeStream
+from repro.service.client import round_batches
 from repro.service.plan import CollectionPlan, RoundSpec
 
 ALPHABET = ("a", "b", "c", "d")
@@ -78,7 +77,7 @@ class TestGatewayEquivalence:
             windows=WINDOWS, n_users=population.n_users,
         )
         with serve_in_thread(gateway) as handle:
-            stats = run_window_loadgen(
+            stats = run_loadgen(
                 handle.host, handle.port, population, batch_size=257
             )
         _assert_matches_inline(stats.result, inline_outcome)
@@ -97,7 +96,6 @@ class TestGatewayEquivalence:
         )
         handle = serve_in_thread(gateway)
         client = GatewayClient(handle.host, handle.port)
-        reporter = ClientReporter()
         # Drive window 0 to completion and open window 1, then stop partway
         # through window 1's current round.
         while True:
@@ -109,9 +107,9 @@ class TestGatewayEquivalence:
             if current.get("window_done"):
                 client.request({"op": "window"})
                 continue
-            _stream_round(client, reporter, population, current)
+            _stream_round(client, population, current)
             client.close_round(current["round"]["index"])
-        batches = _round_batches(reporter, population, current)
+        batches = _round_batches(population, current)
         half = len(batches) // 2
         assert half >= 1
         for batch, batch_id in batches[:half]:
@@ -135,18 +133,26 @@ class TestGatewayEquivalence:
                 assert duplicates == half
                 client.close_round(current["round"]["index"])
             # Finish the remaining rounds and windows via the loadgen.
-            stats = run_window_loadgen(
+            stats = run_loadgen(
                 handle.host, handle.port, population, batch_size=257
             )
         _assert_matches_inline(stats.result, inline_outcome)
 
-    def test_windowless_gateway_rejects_window_loadgen(self, population):
-        gateway = CollectionGateway(_config(), rng=SEED)
-        from repro.exceptions import ConfigurationError
-
+    def test_windowed_gateway_rejects_a_population_of_another_size(
+        self, population
+    ):
+        gateway = CollectionGateway(
+            _config(), rng=SEED, windows=WINDOWS, n_users=population.n_users,
+        )
+        other = SyntheticShapeStream(
+            n_users=N_USERS - 600, alphabet=ALPHABET, templates=TEMPLATES,
+            weights=WEIGHTS, seed=3,
+        )
         with serve_in_thread(gateway) as handle:
-            with pytest.raises(ConfigurationError, match="continual"):
-                run_window_loadgen(handle.host, handle.port, population)
+            with pytest.raises(
+                ConfigurationError, match=f"planned windows over {N_USERS} users"
+            ):
+                run_loadgen(handle.host, handle.port, other)
 
 
 class TestClusterEquivalence:
@@ -158,7 +164,7 @@ class TestClusterEquivalence:
             rng=SEED,
             windows=WINDOWS,
         ) as cluster:
-            stats = run_window_cluster_loadgen(
+            stats = run_cluster_loadgen(
                 cluster.host, cluster.port, population, batch_size=193
             )
             restarts = list(cluster.supervisor.restarts)
@@ -167,29 +173,22 @@ class TestClusterEquivalence:
         assert len(stats.windows) == len(inline_outcome.windows)
 
 
-def _round_batches(reporter, population, current):
+def _round_batches(population, current):
     """All (batch, batch_id) pairs one round needs, over the window's view."""
     ticket = current["window"]
     view = WindowView(population, ticket["start"], ticket["stop"])
-    plan = CollectionPlan.from_dict(current["plan"])
-    spec = RoundSpec.from_dict(current["round"])
-    batches = []
-    for user_ids, batch_population in view.iter_range(0, view.n_users, 200):
-        mask = plan.participant_mask(spec, user_ids)
-        if not mask.any():
-            continue
-        participants = np.flatnonzero(mask)
-        batches.append(
-            (
-                reporter.make_reports(
-                    spec, batch_population.take(participants), user_ids[participants]
-                ),
-                batch_id_for(spec.index, user_ids[0], user_ids[-1] + 1),
-            )
+    return list(
+        round_batches(
+            view,
+            CollectionPlan.from_dict(current["plan"]),
+            RoundSpec.from_dict(current["round"]),
+            0,
+            view.n_users,
+            200,
         )
-    return batches
+    )
 
 
-def _stream_round(client, reporter, population, current):
-    for batch, batch_id in _round_batches(reporter, population, current):
+def _stream_round(client, population, current):
+    for batch, batch_id in _round_batches(population, current):
         client.report(batch, batch_id)

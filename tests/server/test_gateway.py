@@ -10,7 +10,6 @@ import json
 import urllib.error
 import urllib.request
 
-import numpy as np
 import pytest
 
 from repro.core.config import PrivShapeConfig
@@ -19,12 +18,11 @@ from repro.exceptions import ServerError
 from repro.server import (
     CollectionGateway,
     GatewayClient,
-    batch_id_for,
     run_loadgen,
     serve_in_thread,
 )
 from repro.service import EncodedPopulation
-from repro.service.client import ClientReporter
+from repro.service.client import round_batches
 from repro.service.plan import CollectionPlan, RoundSpec
 
 SEQUENCES = [tuple("abcd")] * 900 + [tuple("dcba")] * 600 + [tuple("bca")] * 300
@@ -53,26 +51,16 @@ def _assert_matches_offline(result_payload, offline):
 
 def _collect_round_batches(population, plan_dict, round_dict, batch_size):
     """All (batch, batch_id) pairs a loadgen would send for one round."""
-    plan = CollectionPlan.from_dict(plan_dict)
-    spec = RoundSpec.from_dict(round_dict)
-    reporter = ClientReporter()
-    batches = []
-    for user_ids, batch_population in population.iter_range(
-        0, population.n_users, batch_size
-    ):
-        mask = plan.participant_mask(spec, user_ids)
-        if not mask.any():
-            continue
-        participants = np.flatnonzero(mask)
-        batches.append(
-            (
-                reporter.make_reports(
-                    spec, batch_population.take(participants), user_ids[participants]
-                ),
-                batch_id_for(spec.index, user_ids[0], user_ids[-1] + 1),
-            )
+    return list(
+        round_batches(
+            population,
+            CollectionPlan.from_dict(plan_dict),
+            RoundSpec.from_dict(round_dict),
+            0,
+            population.n_users,
+            batch_size,
         )
-    return batches
+    )
 
 
 class TestSocketEquivalence:

@@ -1,11 +1,16 @@
 """Load-generation correctness: slicing, determinism, multi-process fan-out."""
 
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.cluster import ChaosKill
+from repro.continual.windows import WindowView
 from repro.core.config import PrivShapeConfig
 from repro.core.privshape import PrivShape
 from repro.server import CollectionGateway, batch_id_for, run_loadgen, serve_in_thread
+from repro.server.loadgen import slice_tasks
 from repro.service.population import worker_slices
 from repro.service import EncodedPopulation, SyntheticShapeStream, default_templates
 
@@ -103,3 +108,46 @@ class TestLoadgenEquivalence:
         assert stats.result["frequencies"] == offline_result.frequencies
         assert stats.total_reports == 3000
         assert stats.workers == 2
+
+
+class TestSliceTasks:
+    """One retry policy for every slice a round reply asks for, whether the
+    slices run in-process or on a pool."""
+
+    ROUND = {"index": 0, "kind": "length"}
+
+    def _tasks(self, current, workers):
+        return slice_tasks(
+            current, "127.0.0.1", 9, _stream(), workers=workers, batch_size=100,
+            max_attempts=5, retry_delay=0.125, chaos=ChaosKill(0, 1),
+        )
+
+    @pytest.mark.parametrize("workers", [0, 1, 3])
+    def test_windowed_gateway_slices_keep_the_retry_policy(self, workers):
+        current = {"round": self.ROUND, "plan": {},
+                   "window": {"index": 1, "start": 1000, "stop": 2000}}
+        tasks = self._tasks(current, workers)
+        assert [(t.start, t.stop) for t in tasks] == worker_slices(1000, max(workers, 1))
+        for task in tasks:
+            assert (task.max_attempts, task.retry_delay) == (5, 0.125)
+            assert isinstance(task.population, WindowView)
+            assert (task.host, task.port, task.batch_size) == ("127.0.0.1", 9, 100)
+            # Gateway slices are never coordinator-assigned: no open_round,
+            # and chaos cannot fire on them.
+            assert task.worker_index is None and task.chaos is None
+            assert pickle.loads(pickle.dumps(task)).stop == task.stop
+
+    def test_coordinator_slices_follow_the_assignments(self):
+        current = {
+            "round": self.ROUND, "plan": {},
+            "workers": [{"host": "h0", "port": 1, "index": 0, "pid": 10},
+                        {"host": "h1", "port": 2, "index": 1, "pid": 11}],
+            "assignments": [[0, 1200], [1200, 3000]],
+        }
+        tasks = self._tasks(current, workers=4)
+        assert [(t.host, t.port, t.start, t.stop, t.worker_index, t.worker_pid)
+                for t in tasks] == [("h0", 1, 0, 1200, 0, 10),
+                                    ("h1", 2, 1200, 3000, 1, 11)]
+        for task in tasks:
+            assert (task.max_attempts, task.retry_delay) == (5, 0.125)
+            assert task.chaos == ChaosKill(0, 1)
